@@ -22,7 +22,7 @@ from repro.core.heavy_hitters import SpaceSaving
 from repro.core.summary import DataSummary, SummaryMeta
 from repro.core.timebin import BinStats
 from repro.errors import StorageError
-from repro.flows.tree import Flowtree
+from repro.flows.fold import fold_trees
 
 SummaryCombiner = Callable[[Sequence[DataSummary], float], DataSummary]
 
@@ -40,9 +40,7 @@ def combine_flowtrees(
     summaries: Sequence[DataSummary], shrink: float
 ) -> DataSummary:
     """Merge Flowtree snapshots, then compress to the shrink target."""
-    merged: Flowtree = summaries[0].payload.copy()
-    for summary in summaries[1:]:
-        merged.merge(summary.payload)
+    merged = fold_trees([summary.payload for summary in summaries])
     target = max(
         merged.policy.depth + 1, int(merged.node_count * shrink)
     )

@@ -25,6 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from repro.core.summary import DataSummary, TimeInterval
 from repro.errors import FlowQLPlanningError, SchemaMismatchError
 from repro.flows.flowkey import GeneralizationPolicy
+from repro.flows.fold import CLOUD, WindowFold
 from repro.flows.tree import Flowtree
 from repro.storage.engine import MemoryEngine, StorageEngine
 
@@ -253,20 +254,30 @@ class FlowDB:
         Raises :class:`FlowQLPlanningError` when nothing matches, since
         an empty merge would silently answer every query with zero.
         """
+        return self.fold_window(
+            WindowFold(self.merge_node_budget), locations, start, end
+        )
+
+    def fold_window(
+        self,
+        fold: WindowFold,
+        locations: Optional[Sequence[str]],
+        start: Optional[float],
+        end: Optional[float],
+    ) -> Flowtree:
+        """Advance a :class:`~repro.flows.fold.WindowFold` over the
+        matching entries and return its window tree: the entries it has
+        not folded yet merge in, in ``(interval.start, location)``
+        order."""
         matching = self.entries(locations=locations, start=start, end=end)
         if not matching:
             raise FlowQLPlanningError(
                 "no Flowtree summaries match the requested sites/window "
                 f"(locations={locations}, start={start}, end={end})"
             )
-        merged = Flowtree(
-            matching[0].tree.policy,
-            node_budget=self.merge_node_budget,
-            metric=matching[0].tree.metric,
-        )
-        for entry in matching:
-            merged.merge(entry.tree)
-        return merged
+        fresh = fold.advance({CLOUD: matching}, lambda e: e.entry_id)
+        fold.merge(entry.tree for entry in fresh.get(CLOUD, ()))
+        return fold.tree
 
     def stats(self) -> Dict[str, int]:
         """Index statistics (entries, locations, total nodes).

@@ -230,12 +230,6 @@ class FlowQLExecutor:
 
     # -- planning helpers ---------------------------------------------------
 
-    def _pattern(
-        self, tree: Flowtree, restrictions: List[Restriction]
-    ) -> Optional[FlowKey]:
-        """Compile WHERE restrictions into a generalized key pattern."""
-        return compile_pattern(tree, restrictions)
-
     def _merged(
         self, query: FlowQLQuery, spec: TimeSpec
     ) -> Flowtree:
@@ -258,9 +252,3 @@ class FlowQLExecutor:
         if query.vs_time is not None:
             tree = tree.diff(self._merged(query, query.vs_time))
         return apply_operator(tree, query)
-
-    @staticmethod
-    def _rows(
-        operator: str, pairs: List[Tuple[FlowKey, Score]]
-    ) -> FlowQLResult:
-        return _rows(operator, pairs)

@@ -12,8 +12,12 @@ pieces meet:
   trees with Merge (and Diff for ``VS``), and applies the same Table II
   operator tail as the cloud path.
 * **Caching** — results are memoized in a :class:`QueryCache` keyed on
-  (plan, window); :meth:`on_epoch_closed` drops the cache so an epoch
-  boundary never serves stale answers.
+  (plan, window); :meth:`on_epoch_closed` drops only the entries whose
+  window the boundary (or a late delivery) could change, so an epoch
+  close never serves stale answers.
+* **Folding** — every window read, cold or standing, collapses into one
+  tree through :class:`~repro.flows.fold.WindowFold`; this module only
+  picks the sources and ships them.
 * **Replication feed** — every remote partition read is recorded
   through :meth:`Manager.record_remote_access`, so real FlowQL traffic
   (not a synthetic trace) drives the Fig. 6 adaptive-replication cycle.
@@ -33,11 +37,12 @@ from repro.datastore.partitions import Partition
 from repro.datastore.recombine import combine_summaries
 from repro.datastore.storage import RoundRobinStorage
 from repro.datastore.store import DataStore
-from repro.datastore.summary_query import approx_result_bytes, rehydrate
+from repro.datastore.summary_query import approx_result_bytes
 from repro.errors import FlowQLPlanningError, TransferError
 from repro.flowql.ast import FlowQLQuery, TimeSpec
 from repro.flowql.executor import FlowQLResult, apply_operator
 from repro.flowql.parser import parse
+from repro.flows.fold import WindowFold
 from repro.flows.tree import Flowtree
 from repro.obs.bridge import QUERY_SECONDS
 from repro.query.plan import (
@@ -319,15 +324,23 @@ class FederatedQueryPlanner:
         now: float,
         degradation: Degradation,
     ) -> FlowQLResult:
-        tree = self._assemble(plan, query, query.time, now, degradation)
+        tree = self._assemble(
+            plan, query, query.time, now, degradation, self._new_fold()
+        )
         if query.vs_time is not None:
             tree = tree.diff(
-                self._assemble(plan, query, query.vs_time, now, degradation)
+                self._assemble(
+                    plan, query, query.vs_time, now, degradation,
+                    self._new_fold(),
+                )
             )
         volume = self.runtime.stats.level(plan.level)
         volume.queries_served += 1
         volume.query_bytes_out += plan.shipped_bytes
         return apply_operator(tree, query)
+
+    def _new_fold(self) -> WindowFold:
+        return WindowFold(self.runtime.db.merge_node_budget)
 
     def _assemble(
         self,
@@ -336,17 +349,21 @@ class FederatedQueryPlanner:
         spec: TimeSpec,
         now: float,
         degradation: Degradation,
+        fold: WindowFold,
     ) -> Flowtree:
-        """One window's partial trees from the plan's level, merged.
+        """Advance ``fold`` over one window's partitions at the plan's
+        level and return the window tree.
 
-        A store whose read fails on a faulty link is retried against
-        replica coverage, then against covering stores at other levels;
-        what stays unreachable lands in ``degradation`` and the merge
+        A cold read passes an empty fold; a standing query passes the
+        fold it kept, so only partitions sealed since are read.  A store
+        whose read fails on a faulty link is retried against replica
+        coverage, then against covering stores at other levels; what
+        stays unreachable lands in ``degradation`` and the merge
         proceeds over the surviving partials.
         """
         stores = self.runtime.stores_at_level(plan.level)
-        trees: List[Flowtree] = []
-        for label in sorted(stores):
+        sources: Dict[str, List[Partition]] = {}
+        for label in stores:
             if query.sites and not any(
                 _covers(label, site) for site in query.sites
             ):
@@ -354,26 +371,45 @@ class FederatedQueryPlanner:
             partitions = self._window_partitions(
                 stores[label], spec.start, spec.end
             )
-            if not partitions:
-                continue
-            try:
-                read, site_trees = self._read_store(
-                    label, plan.level, stores[label], partitions, now
+            if partitions:
+                sources[label] = partitions
+        resumed = bool(fold.prefix)
+        if resumed:
+            # a kept fold continues only while a cold read would fold
+            # every window partition into the site folds
+            for label in sorted(sources):
+                reason = self._read_outside_fold(
+                    stores[label], sources[label]
                 )
-                plan.reads.append(read)
+                if reason is not None:
+                    fold.broken = reason
+                    return fold.tree
+        fresh = fold.advance(sources, lambda p: p.partition_id)
+        for label, partitions in fresh.items():
+            try:
+                plan.reads.append(
+                    self._read_store(
+                        label, plan.level, stores[label], partitions, now,
+                        fold, False,
+                    )
+                )
             except TransferError as exc:
-                (
-                    reads, site_trees, covered, stale, attempted,
-                ) = self._degraded_read(
-                    label, plan.level, stores[label], partitions, spec, now
+                if resumed:
+                    # a torn continuation: the caller folds afresh
+                    fold.broken = "degraded"
+                    return fold.tree
+                fold.discard(label)
+                reads, covered, stale, attempted = self._degraded_read(
+                    label, plan.level, stores[label], partitions, spec, now,
+                    fold,
                 )
                 plan.reads.extend(reads)
                 if not covered:
+                    fold.broken = "degraded"
                     degradation.note(
                         label, stale, str(exc), attempted=attempted
                     )
-            trees.extend(site_trees)
-        if not trees:
+        if not fold.trees():
             if degradation.is_degraded:
                 # every covering store was unreachable: an honest empty
                 # partial beats an exception — the degradation record
@@ -386,14 +422,7 @@ class FederatedQueryPlanner:
                 f"no partitions at level {plan.level!r} match the window "
                 f"(start={spec.start}, end={spec.end})"
             )
-        merged = Flowtree(
-            trees[0].policy,
-            node_budget=self.runtime.db.merge_node_budget,
-            metric=trees[0].metric,
-        )
-        for tree in trees:
-            merged.merge(tree)
-        return merged
+        return fold.tree
 
     def _degraded_read(
         self,
@@ -403,15 +432,15 @@ class FederatedQueryPlanner:
         partitions: List[Partition],
         spec: TimeSpec,
         now: float,
-    ) -> Tuple[
-        List[SiteRead], List[Flowtree], bool, Optional[float], List[str]
-    ]:
+        fold: WindowFold,
+    ) -> Tuple[List[SiteRead], bool, Optional[float], List[str]]:
         """Fallback coverage for a store whose remote read failed.
 
         Tries, in order: root-side replicas of the failed store's
         partitions (no fabric traffic), then covering stores at other
-        store-bearing levels strictly under the failed store.  Returns
-        ``(reads, trees, fully_covered, stale_through, attempted)`` —
+        store-bearing levels strictly under the failed store.  What it
+        finds is served into ``fold`` under ``label``.  Returns
+        ``(reads, fully_covered, stale_through, attempted)`` —
         ``fully_covered=False`` means the site must be reported in the
         degradation record, with the served data complete only through
         ``stale_through``; ``attempted`` lists every node path the
@@ -421,13 +450,13 @@ class FederatedQueryPlanner:
         """
         attempted = [store.location.path]
         # replicas answer locally even while the link is down
-        read, trees = self._read_store(
-            label, level, store, partitions, now, replicas_only=True
+        read = self._read_store(
+            label, level, store, partitions, now, fold, True
         )
         attempted.append(self.replica_store.location.path)
         reads = [read] if read.replica_partitions else []
         if len(read.replica_partitions) == len(partitions):
-            return reads, trees, True, None, attempted
+            return reads, True, None, attempted
         # shallower/deeper coverage: stores at other levels holding
         # exactly this site's data (never an ancestor — it overcounts)
         for other_level in self.runtime.store_levels():
@@ -443,7 +472,7 @@ class FederatedQueryPlanner:
             if not candidates:
                 continue
             alt_reads: List[SiteRead] = []
-            alt_trees: List[Flowtree] = []
+            alt = self._new_fold()
             try:
                 for lab in sorted(candidates):
                     parts = self._window_partitions(
@@ -452,18 +481,18 @@ class FederatedQueryPlanner:
                     if not parts:
                         continue
                     attempted.append(candidates[lab].location.path)
-                    alt_read, alt_site_trees = self._read_store(
-                        lab, other_level, candidates[lab], parts, now
+                    alt_reads.append(
+                        self._read_store(
+                            lab, other_level, candidates[lab], parts, now,
+                            alt, False,
+                        )
                     )
-                    alt_reads.append(alt_read)
-                    alt_trees.extend(alt_site_trees)
             except TransferError:
                 continue  # that level is unreachable too
-            if alt_trees:
-                return (
-                    reads + alt_reads, trees + alt_trees, True, None,
-                    attempted,
-                )
+            if alt.trees():
+                for tree in alt.trees():
+                    fold.serve(label, tree, "alternative-coverage")
+                return reads + alt_reads, True, None, attempted
         # partial at best: the replica subset (possibly nothing)
         replicated = set()
         if read.replica_partitions:
@@ -473,7 +502,7 @@ class FederatedQueryPlanner:
             if partition.partition_id in replicated:
                 end = partition.summary.meta.interval.end
                 stale = end if stale is None else max(stale, end)
-        return reads, trees, False, stale, attempted
+        return reads, False, stale, attempted
 
     @staticmethod
     def _window_partitions(
@@ -497,6 +526,22 @@ class FederatedQueryPlanner:
             selected.append(partition)
         return selected
 
+    def _replica_id(self, partition: Partition) -> str:
+        return f"{partition.partition_id}@{self.replica_store.location.path}"
+
+    def _read_outside_fold(
+        self, store: DataStore, partitions: List[Partition]
+    ) -> Optional[str]:
+        """Why a read of ``partitions`` would bypass the site folds."""
+        if store.privacy is not None:
+            return "privacy-guard"
+        if any(
+            self._replica_id(p) in self.replica_store.replicas
+            for p in partitions
+        ):
+            return "replica-served"
+        return None
+
     def _read_store(
         self,
         label: str,
@@ -504,13 +549,18 @@ class FederatedQueryPlanner:
         store: DataStore,
         partitions: List[Partition],
         now: float,
-        replicas_only: bool = False,
-    ) -> Tuple[SiteRead, List[Flowtree]]:
-        """Fetch one store's partials: replicas locally, the rest shipped.
+        fold: WindowFold,
+        replicas_only: bool,
+    ) -> SiteRead:
+        """Read one store's partitions into ``fold``: replicas locally,
+        the rest shipped.
 
-        Remote reads are accounted on the fabric and fed to the manager's
+        Remote partitions fold into the store's site folds; what is
+        shipped is accounted on the fabric and fed to the manager's
         replication engine — the engine may replicate the partition into
-        :attr:`replica_store` mid-stream, so later reads turn local.
+        :attr:`replica_store` mid-stream, so later reads turn local.  A
+        privacy-guarded store ships its export instead, and replicas are
+        served individually; both are merged outside the site folds.
         With ``replicas_only`` the remote ship is skipped entirely (the
         degraded-read path: serve what the root already holds).
         """
@@ -520,34 +570,40 @@ class FederatedQueryPlanner:
             partitions=[p.partition_id for p in partitions],
         )
         root_path = self.replica_store.location.path
-        summaries = []
         remote: Dict[str, List[Partition]] = {}
         with self.runtime.obs.span(
             "fetch", site=label, level=level
         ) as span:
             for partition in partitions:
-                replica_id = f"{partition.partition_id}@{root_path}"
+                replica_id = self._replica_id(partition)
                 if replica_id in self.replica_store.replicas:
                     replica = self.replica_store.replicas.get(replica_id)
                     replica.record_access(
                         now, replica.size_bytes, remote=False
                     )
                     read.replica_partitions.append(partition.partition_id)
-                    summaries.append(replica.summary)
-                else:
+                    fold.serve(
+                        label, replica.summary.payload, "replica-served"
+                    )
+                elif not replicas_only:
                     remote.setdefault(partition.aggregator, []).append(
                         partition
                     )
-            if replicas_only:
-                remote = {}
             for aggregator, parts in sorted(remote.items()):
-                combined = combine_summaries(
-                    [p.summary for p in parts], shrink=1.0
-                )
-                if store.privacy is not None:
+                trees = [p.summary.payload for p in parts]
+                if store.privacy is None:
+                    shipped = fold.fold(label, aggregator, trees)
+                else:
                     # the partial leaves the level's trust domain
-                    combined = store.privacy.export(aggregator, combined)
-                share = max(1, combined.size_bytes // len(parts))
+                    shipped = store.privacy.export(
+                        aggregator,
+                        combine_summaries(
+                            [p.summary for p in parts], shrink=1.0
+                        ),
+                    ).payload
+                    fold.serve(label, shipped, "privacy-guard")
+                size = shipped.estimated_size_bytes()
+                share = max(1, size // len(parts))
                 for partition in parts:
                     partition.record_access(now, share, remote=True)
                     self.runtime.manager.record_remote_access(
@@ -557,43 +613,14 @@ class FederatedQueryPlanner:
                 if store.location.path != root_path:
                     self.runtime.fabric.transfer(
                         store.location, self.replica_store.location,
-                        combined.size_bytes, now,
+                        size, now,
                     )
-                read.shipped_bytes += combined.size_bytes
-                summaries.append(combined)
+                read.shipped_bytes += size
             span.set_attr("shipped_bytes", read.shipped_bytes)
             span.set_attr(
                 "replica_partitions", len(read.replica_partitions)
             )
-        return read, [rehydrate(summary).tree for summary in summaries]
-
-    # -- deprecated direct-call shim -----------------------------------------
-
-    #: whether the warn-once deprecation below has already fired
-    _query_shim_warned = False
-
-    def query(
-        self, flowql: Union[str, FlowQLQuery], now: Optional[float] = None
-    ) -> QueryOutcome:
-        """Deprecated: go through :class:`repro.client.FlowQLClient`.
-
-        Applications used to reach into ``runtime.planner.query(...)``
-        directly; the unified client facade (backed by this planner
-        in-process, or by a ``repro serve`` endpoint over HTTP) is the
-        one query API now.  This shim forwards to :meth:`execute` and
-        warns once per process.
-        """
-        if not FederatedQueryPlanner._query_shim_warned:
-            FederatedQueryPlanner._query_shim_warned = True
-            import warnings
-
-            warnings.warn(
-                "FederatedQueryPlanner.query() is deprecated; use "
-                "repro.client.FlowQLClient (or runtime.query) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.execute(flowql, now=now)
+        return read
 
     # -- drilldown API for applications --------------------------------------
 
@@ -620,18 +647,14 @@ class FederatedQueryPlanner:
         partitions = self._window_partitions(store, start, end, aggregator)
         if not partitions:
             return None
-        read, trees = self._read_store(site, level, store, partitions, now)
+        fold = self._new_fold()
+        read = self._read_store(
+            site, level, store, partitions, now, fold, False
+        )
         volume = self.runtime.stats.level(level)
         volume.queries_served += 1
         volume.query_bytes_out += read.shipped_bytes
-        merged = Flowtree(
-            trees[0].policy,
-            node_budget=self.runtime.db.merge_node_budget,
-            metric=trees[0].metric,
-        )
-        for tree in trees:
-            merged.merge(tree)
-        return merged
+        return fold.tree
 
     # -- cache lifecycle -----------------------------------------------------
 

@@ -8,35 +8,33 @@ plan's result once and then **delta-maintains** it on every epoch close
 — Merge of the newly sealed partitions into the materialized view
 instead of re-reading (and re-shipping) the whole window.
 
-Correctness contract — the delta path is provably identical to a cold
-re-execution of the same query:
+Correctness contract — a delta is identical to a cold re-execution of
+the same query, because it *is* one.  Cold reads and standing queries
+run one window fold (:mod:`repro.flows.fold`): FlowDB entries merged in
+``(interval.start, location)`` order on the cloud route; per-site folds
+merged in sorted site order on the federated route.  A subscription
+keeps each window's :class:`~repro.flows.fold.WindowFold` between
+closes and advances it through the cold path's own code, which folds
+only the sources past the fold's prefix — new epochs only ever arrive
+at the tail.  Standing queries over the same windows share one set of
+folds, so a boundary folds (and ships) each window once.  Everything
+else is a *rebuild*: drop the folds and run the cold path once.
+Rebuild triggers, by ``reason``:
 
-* **Cloud route.**  A fresh ``FlowDB.merged_tree`` merges entries in
-  ``(interval.start, location)`` order; new epochs always sort after
-  everything already folded.  The maintained view therefore undergoes
-  the *identical* operation sequence a cold merge would — including
-  compression timing — so the result is bit-identical by construction.
-  The registry validates the folded prefix (entry ids) every close and
-  rebuilds when it does not match (restart recovery re-ids entries).
-* **Federated route.**  A cold read folds each site's window
-  partitions into one per-site tree (``combine_flowtrees``: first
-  partition's tree copied, the rest merged in catalog order, under the
-  *partition's* node budget) and then merges the per-site trees — in
-  sorted site order — into a fresh tree under the root's merge budget.
-  Both folds are deterministic, so the view maintains the *same state*
-  incrementally: one fold tree per (site, aggregator) advanced by
-  exactly the merges a cold fold would append (new partitions only ever
-  arrive at the catalog's tail), plus a recomputed top-level merge per
-  close.  Identical operation sequences compress at identical points,
-  so the view stays bit-identical to re-execution even after per-site
-  compression sets in.  What *breaks* the sequence triggers a rebuild:
-  a folded partition vanishing (expiration, site restart), a partition
-  turning replica-resident at the root (cold then serves it
-  individually instead of folding it — a different merge order), a
-  participating store growing a privacy guard, or a degraded read.
-* **Topology.**  A generation bump (join/leave/split/merge/migrate)
-  invalidates and rebuilds the view — the *only* structural event that
-  does; ordinary closes never rebuild.
+* ``generation`` — a topology change (join/leave/split/merge/migrate);
+* ``route-changed`` — the query now plans to another route or level;
+* ``uncovered`` — the query did not plan at an earlier close;
+* ``entry-prefix`` / ``partition-prefix`` — a folded source is gone or
+  moved (retention, expiration, restart recovery re-ids entries);
+* ``replica-served`` / ``privacy-guard`` / ``alternative-coverage`` —
+  the cold read served trees outside the site folds (a root replica, a
+  privacy-degraded export, another level covering an unreachable
+  store), so the fold answers its close but cannot be continued;
+* ``degraded`` — a read failed, at the last materialization or
+  mid-delta.
+
+Ordinary closes never rebuild.  ``init`` marks only a subscription's
+first materialization.
 
 Updates are typed (:class:`SubscriptionUpdate`), sequence-numbered, and
 kept in a bounded ring per subscription, which is what makes the
@@ -64,15 +62,12 @@ from typing import (
 )
 from collections import deque
 
-from repro.errors import (
-    FlowQLPlanningError,
-    TransferError,
-    WireSchemaError,
-)
-from repro.flowql.ast import FlowQLQuery, TimeSpec
+from repro.errors import FlowQLPlanningError, WireSchemaError
+from repro.flowql.ast import FlowQLQuery
 from repro.flowql.executor import FlowQLResult, apply_operator
 from repro.flowql.parser import parse
 from repro.flows.tree import Flowtree
+from repro.flows.fold import WindowFold
 from repro.query.plan import (
     ROUTE_CLOUD,
     ROUTE_FEDERATED,
@@ -107,14 +102,6 @@ MODE_DELTA = "delta"
 MODE_REBUILD = "rebuild"
 
 
-class _RebuildNeeded(Exception):
-    """Internal: the delta path cannot prove identity; rebuild instead."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
 @dataclass(frozen=True)
 class SubscriptionUpdate:
     """One epoch's push for one standing query.
@@ -123,8 +110,8 @@ class SubscriptionUpdate:
     current answer (identical to what a cold execution at the same
     boundary returns), so a client that missed updates only needs the
     latest one.  ``mode`` records how the snapshot was produced
-    (``init`` at registration, ``delta`` for an incremental merge,
-    ``rebuild`` for a from-scratch re-materialization) and
+    (``init`` for the first materialization, ``delta`` for an
+    incremental merge, ``rebuild`` for every later from-scratch one) and
     ``shipped_bytes`` what the refresh moved across the fabric — the
     two numbers the subscribe benchmark compares against re-execution.
     """
@@ -175,236 +162,26 @@ class SubscriptionUpdate:
             )
 
 
-class _WindowView:
-    """One materialized window (FROM or VS) of a standing query."""
+def _broken(folds: List[WindowFold]) -> Optional[str]:
+    """Why the first of ``folds`` that cannot be continued can't."""
+    return next((fold.broken for fold in folds if fold.broken), None)
 
-    def __init__(self, spec: TimeSpec) -> None:
-        self.spec = spec
-        self.tree: Optional[Flowtree] = None
-        #: cloud route: entry ids folded, in merge order
-        self.folded_entries: List[int] = []
-        #: federated route: store label -> partition ids folded, in
-        #: catalog order
-        self.folded_partitions: Dict[str, List[str]] = {}
-        #: federated route: label -> aggregator -> the per-site fold
-        #: tree, maintained by the same operation sequence a cold
-        #: ``combine_flowtrees`` performs
-        self.site_trees: Dict[str, Dict[str, Flowtree]] = {}
 
-    # -- cloud route ---------------------------------------------------------
+class _Window:
+    """The folds of one list of query windows at the last boundary they
+    were advanced to, with the window trees they gave."""
 
-    def build_cloud(
-        self, planner: "FederatedQueryPlanner", query: FlowQLQuery
+    def __init__(
+        self,
+        folds: List[WindowFold],
+        trees: List[Flowtree],
+        boundary: object,
+        degraded: bool,
     ) -> None:
-        """Materialize from the root FlowDB, mirroring ``merged_tree``
-        exactly (same entry order, same budget) so later deltas are a
-        continuation of the cold computation."""
-        db = planner.runtime.db
-        entries = db.entries(
-            query.sites or None, self.spec.start, self.spec.end
-        )
-        if not entries:
-            raise FlowQLPlanningError(
-                "no Flowtree summaries match the subscribed window"
-            )
-        tree = Flowtree(
-            entries[0].tree.policy,
-            node_budget=db.merge_node_budget,
-            metric=entries[0].tree.metric,
-        )
-        for entry in entries:
-            tree.merge(entry.tree)
-        self.tree = tree
-        self.folded_entries = [e.entry_id for e in entries]
-
-    def advance_cloud(
-        self, planner: "FederatedQueryPlanner", query: FlowQLQuery
-    ) -> int:
-        """Merge entries sealed since the last refresh; returns bytes
-        shipped (always 0 — the root reads its own FlowDB locally)."""
-        db = planner.runtime.db
-        entries = db.entries(
-            query.sites or None, self.spec.start, self.spec.end
-        )
-        ids = [e.entry_id for e in entries]
-        folded = self.folded_entries
-        if ids[: len(folded)] != folded:
-            # recovery re-ids entries, retention may drop them: the
-            # continuation property no longer holds
-            raise _RebuildNeeded("entry-prefix")
-        for entry in entries[len(folded):]:
-            self.tree.merge(entry.tree)
-        self.folded_entries = ids
-        return 0
-
-    # -- federated route -----------------------------------------------------
-
-    def _current_partitions(
-        self,
-        planner: "FederatedQueryPlanner",
-        plan: QueryPlan,
-        query: FlowQLQuery,
-    ) -> Dict[str, list]:
-        """label -> window partitions at the plan's level, the same
-        selection ``_assemble`` makes."""
-        from repro.query.planner import _covers
-
-        stores = planner.runtime.stores_at_level(plan.level)
-        current: Dict[str, list] = {}
-        for label in sorted(stores):
-            if query.sites and not any(
-                _covers(label, site) for site in query.sites
-            ):
-                continue
-            if stores[label].privacy is not None:
-                # per-epoch privacy export need not commute with the
-                # whole-window export a cold read performs
-                raise _RebuildNeeded("privacy-guard")
-            partitions = planner._window_partitions(
-                stores[label], self.spec.start, self.spec.end
-            )
-            if partitions:
-                current[label] = partitions
-        return current
-
-    @staticmethod
-    def _replica_resident(planner: "FederatedQueryPlanner", pid: str) -> bool:
-        root_path = planner.replica_store.location.path
-        return f"{pid}@{root_path}" in planner.replica_store.replicas
-
-    def _fold_sites(
-        self, planner: "FederatedQueryPlanner", current: Dict[str, list]
-    ) -> Dict[str, Dict[str, Flowtree]]:
-        """Per-site fold trees by ``combine_flowtrees``' exact sequence:
-        the first partition's tree copied (keeping the partition node
-        budget), the rest merged in catalog order."""
-        site_trees: Dict[str, Dict[str, Flowtree]] = {}
-        for label in sorted(current):
-            groups: Dict[str, Flowtree] = {}
-            for partition in current[label]:
-                if self._replica_resident(planner, partition.partition_id):
-                    # a cold read serves a root-replicated partition
-                    # individually, outside the site fold — a different
-                    # merge sequence than the one this view maintains
-                    raise _RebuildNeeded("replica-served")
-                fold = groups.get(partition.aggregator)
-                if fold is None:
-                    groups[partition.aggregator] = (
-                        partition.summary.payload.copy()
-                    )
-                else:
-                    fold.merge(partition.summary.payload)
-            site_trees[label] = groups
-        return site_trees
-
-    def _top_merge(self, planner: "FederatedQueryPlanner") -> Flowtree:
-        """The cold assembly's final step: per-site trees merged — in
-        sorted site then aggregator order — into a fresh tree under the
-        root's merge budget."""
-        ordered: List[Flowtree] = []
-        for label in sorted(self.site_trees):
-            groups = self.site_trees[label]
-            ordered.extend(groups[agg] for agg in sorted(groups))
-        if not ordered:
-            raise _RebuildNeeded("partition-prefix")
-        budget = planner.runtime.db.merge_node_budget
-        if len(ordered) == 1 and (
-            budget is None or ordered[0].node_count <= budget
-        ):
-            # single-site window (the AT <edge site> shape): cold's
-            # final merge absorbs one fold tree into a fresh tree and,
-            # under the root budget, cannot compress — an exact
-            # structural copy.  Serve the fold directly instead of
-            # copying it every close.
-            return ordered[0]
-        merged = Flowtree(
-            ordered[0].policy,
-            node_budget=budget,
-            metric=ordered[0].metric,
-        )
-        for tree in ordered:
-            merged.merge(tree)
-        return merged
-
-    def seed_federated(
-        self,
-        planner: "FederatedQueryPlanner",
-        plan: QueryPlan,
-        query: FlowQLQuery,
-        tree: Flowtree,
-    ) -> None:
-        """Adopt a freshly assembled tree plus the per-site fold state
-        future deltas will advance."""
-        current = self._current_partitions(planner, plan, query)
-        self.site_trees = self._fold_sites(planner, current)
-        self.tree = tree
-        self.folded_partitions = {
-            label: [p.partition_id for p in partitions]
-            for label, partitions in current.items()
-        }
-
-    def advance_federated(
-        self,
-        planner: "FederatedQueryPlanner",
-        plan: QueryPlan,
-        query: FlowQLQuery,
-        now: float,
-    ) -> int:
-        """Fetch and fold partitions sealed since the last refresh.
-
-        Reads go through the planner's ``_read_store`` — fabric-
-        accounted, feeding the Fig. 6 replication cycle just like any
-        query — but only for the *new* partitions, which is the entire
-        saving.  Each fresh partition extends its site's fold tree by
-        exactly the merge a cold ``combine_flowtrees`` would append,
-        then the top-level merge is recomputed the way ``_assemble``
-        builds it; identical operation sequences keep the view
-        bit-identical to re-execution, compression included.  Returns
-        the bytes shipped.
-        """
-        stores = planner.runtime.stores_at_level(plan.level)
-        current = self._current_partitions(planner, plan, query)
-        folded = self.folded_partitions
-        for label, pids in folded.items():
-            seen = [
-                p.partition_id for p in current.get(label, [])
-            ][: len(pids)]
-            if seen != pids:
-                # a folded partition vanished (expiration, restart) or
-                # the catalog was rewritten under us
-                raise _RebuildNeeded("partition-prefix")
-        for label in sorted(current):
-            for partition in current[label]:
-                if self._replica_resident(planner, partition.partition_id):
-                    # replication promoted a window partition to the
-                    # root since the last fold: cold reads now serve it
-                    # individually, so the fold sequence diverged
-                    raise _RebuildNeeded("replica-served")
-        shipped = 0
-        advanced = False
-        for label in sorted(current):
-            partitions = current[label]
-            known = len(folded.get(label, []))
-            fresh = partitions[known:]
-            if fresh:
-                advanced = True
-                read, _ = planner._read_store(
-                    label, plan.level, stores[label], fresh, now
-                )
-                shipped += read.shipped_bytes
-                groups = self.site_trees.setdefault(label, {})
-                for partition in fresh:
-                    fold = groups.get(partition.aggregator)
-                    if fold is None:
-                        groups[partition.aggregator] = (
-                            partition.summary.payload.copy()
-                        )
-                    else:
-                        fold.merge(partition.summary.payload)
-            folded[label] = [p.partition_id for p in partitions]
-        if advanced:
-            self.tree = self._top_merge(planner)
-        return shipped
+        self.folds = folds
+        self.trees = trees
+        self.boundary = boundary
+        self.degraded = degraded
 
 
 class Subscription:
@@ -426,8 +203,10 @@ class Subscription:
         self.updates: Deque[SubscriptionUpdate] = deque(maxlen=HISTORY)
         self.callbacks: List[Callable[[SubscriptionUpdate], None]] = []
         self.callback_errors = 0
-        #: materialized windows (None until the first successful build)
-        self.views: Optional[List[_WindowView]] = None
+        #: one kept fold per window (FROM, then VS), shared with every
+        #: standing query over the same windows; None until the
+        #: query materializes, and again while it does not plan
+        self.folds: Optional[List[WindowFold]] = None
         self.generation = -1
         self.route: Optional[str] = None
         self.level: Optional[str] = None
@@ -501,9 +280,9 @@ class SubscribeMetrics:
         )
         self.rebuilds = registry.counter(
             REBUILDS_TOTAL,
-            "Full view rebuilds, by reason (generation, entry-prefix, "
-            "partition-prefix, replica-served, privacy-guard, "
-            "degraded, route-changed)",
+            "Full view rebuilds, by reason (generation, route-changed, "
+            "uncovered, entry-prefix, partition-prefix, replica-served, "
+            "privacy-guard, alternative-coverage, degraded)",
             ("reason",),
         )
 
@@ -534,6 +313,11 @@ class SubscriptionRegistry:
     def __init__(self, planner: "FederatedQueryPlanner") -> None:
         self.planner = planner
         self._subscriptions: Dict[str, Subscription] = {}
+        #: (generation, route, level, sites, windows) -> the folds every
+        #: standing query over those windows shares
+        self._windows: Dict[tuple, _Window] = {}
+        #: serializes fold work; taken before ``_lock``, never after it
+        self._refresh_lock = threading.RLock()
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self.metrics = SubscribeMetrics(planner.runtime.obs)
@@ -574,10 +358,10 @@ class SubscriptionRegistry:
         if on_update is not None:
             subscription.on_update(on_update)
         now = self.planner.clock if now is None else now
-        with self._lock:
+        with self._refresh_lock, self._lock:
             self._subscriptions[subscription.id] = subscription
             try:
-                self._rebuild(subscription, now, mode=MODE_INIT)
+                self._refresh(subscription, now, object())
             except FlowQLPlanningError:
                 pass  # nothing to materialize yet; retry at each close
             self.metrics.set_active(len(self._subscriptions))
@@ -606,164 +390,156 @@ class SubscriptionRegistry:
         recovery), after rollup/export so the newly sealed partitions
         and FlowDB entries are visible.
         """
-        with self._lock:
-            subscriptions = list(self._subscriptions.values())
+        boundary = object()
         published = 0
-        for subscription in subscriptions:
-            if not subscription.active:
-                continue
-            try:
-                self._refresh(subscription, now)
-                published += 1
-            except FlowQLPlanningError:
-                # the query does not plan right now (no coverage after
-                # a leave/restart, or no data yet): stay pending and
-                # retry at the next boundary
-                subscription.views = None
+        with self._refresh_lock:
+            with self._lock:
+                subscriptions = list(self._subscriptions.values())
+            for subscription in subscriptions:
+                if not subscription.active:
+                    continue
+                try:
+                    self._refresh(subscription, now, boundary)
+                    published += 1
+                except FlowQLPlanningError:
+                    # the query does not plan right now (no coverage
+                    # after a leave/restart, or no data yet): stay
+                    # pending and retry at the next boundary
+                    subscription.folds = None
+            with self._lock:
+                kept = [s.folds for s in self._subscriptions.values()]
+            self._windows = {
+                key: window
+                for key, window in self._windows.items()
+                if any(window.folds is folds for folds in kept)
+            }
         return published
 
     # -- refresh machinery ---------------------------------------------------
 
-    def _refresh(self, subscription: Subscription, now: float) -> None:
-        started = time.perf_counter()
-        generation = self.planner._topology_generation()
-        if subscription.views is None:
-            self._rebuild(subscription, now, mode=MODE_INIT)
-            return
-        if generation != subscription.generation:
-            self.metrics.rebuild("generation")
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        plan = self.planner.plan(subscription.query)
-        if (
-            plan.route != subscription.route
-            or plan.level != subscription.level
-        ):
-            self.metrics.rebuild("route-changed")
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        try:
-            shipped = 0
-            for view in subscription.views:
-                if plan.route == ROUTE_CLOUD:
-                    shipped += view.advance_cloud(
-                        self.planner, subscription.query
-                    )
-                else:
-                    shipped += view.advance_federated(
-                        self.planner, plan, subscription.query, now
-                    )
-        except _RebuildNeeded as exc:
-            self.metrics.rebuild(exc.reason)
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        except TransferError:
-            # a link died mid-delta: the view may hold a torn window,
-            # so drop it and answer this boundary with a (possibly
-            # degraded) cold rebuild
-            self.metrics.rebuild("degraded")
-            self._rebuild(subscription, now, mode=MODE_REBUILD)
-            return
-        result = apply_operator(
-            self._combined(subscription), subscription.query
-        )
-        subscription.delta_refreshes += 1
-        self.delta_refreshes += 1
-        self._publish(
-            subscription,
-            result,
-            now,
-            generation,
-            MODE_DELTA,
-            plan.route,
-            shipped,
-            degraded=False,
-            started=started,
-        )
-
-    def _combined(self, subscription: Subscription) -> Flowtree:
-        views = subscription.views
-        if len(views) == 1:
-            return views[0].tree
-        return views[0].tree.diff(views[1].tree)
-
-    def _rebuild(
-        self, subscription: Subscription, now: float, mode: str
+    def _refresh(
+        self, subscription: Subscription, now: float, boundary: object
     ) -> None:
-        """Materialize from scratch, mirroring a cold execution."""
         started = time.perf_counter()
-        planner = self.planner
         query = subscription.query
+        planner = self.planner
         plan = planner.plan(query)
         generation = planner._topology_generation()
-        specs = [query.time] + (
-            [query.vs_time] if query.vs_time is not None else []
+        windows = tuple(
+            (spec.start, spec.end) for spec in planner._windows(query)
         )
-        views: List[_WindowView] = []
-        shipped = 0
-        degradation = Degradation()
-        continuable = True
-        for spec in specs:
-            view = _WindowView(spec)
-            if plan.route == ROUTE_CLOUD:
-                view.build_cloud(planner, query)
-            else:
-                window_plan = QueryPlan(
-                    route=plan.route,
-                    window=(spec.start, spec.end),
-                    level=plan.level,
-                    sites=list(plan.sites),
-                )
-                tree = planner._assemble(
-                    window_plan, query, spec, now, degradation
-                )
-                shipped += window_plan.shipped_bytes
-                if any(
-                    read.level != plan.level
-                    for read in window_plan.reads
-                ):
-                    # alternative-coverage fallback reads served this
-                    # window from other levels; the folded census would
-                    # not describe the tree
-                    continuable = False
-                try:
-                    view.seed_federated(planner, plan, query, tree)
-                except _RebuildNeeded:
-                    continuable = False
-                    view.tree = tree
-            views.append(view)
-        degraded = degradation.is_degraded
-        result = apply_operator(
-            views[0].tree
-            if len(views) == 1
-            else views[0].tree.diff(views[1].tree),
-            query,
-        )
-        if degraded or not continuable:
-            # the snapshot is honest, but the view cannot be continued:
-            # stay unmaterialized and rebuild again next boundary
-            subscription.views = None
-            if degraded:
-                self.metrics.rebuild("degraded")
+        key = (generation, plan.route, plan.level, tuple(query.sites), windows)
+        window, shipped = self._advance(key, query, plan, now, boundary)
+        if subscription.seq == 0:
+            reason = None
+        elif generation != subscription.generation:
+            reason = "generation"
+        elif subscription.folds is None:
+            reason = "uncovered"
+        elif (plan.route, plan.level) != (
+            subscription.route, subscription.level
+        ):
+            reason = "route-changed"
         else:
-            subscription.views = views
-            subscription.generation = generation
-            subscription.route = plan.route
-            subscription.level = plan.level
-        if mode != MODE_INIT:
+            reason = _broken(subscription.folds)
+        subscription.folds = window.folds
+        subscription.generation = generation
+        subscription.route = plan.route
+        subscription.level = plan.level
+        if subscription.seq == 0:
+            mode = MODE_INIT
+        elif reason is None:
+            mode = MODE_DELTA
+            subscription.delta_refreshes += 1
+            self.delta_refreshes += 1
+        else:
+            mode = MODE_REBUILD
+            self.metrics.rebuild(reason)
             subscription.rebuilds += 1
             self.rebuilds += 1
+        trees = window.trees
+        tree = trees[0] if len(trees) == 1 else trees[0].diff(trees[1])
         self._publish(
             subscription,
-            result,
+            apply_operator(tree, query),
             now,
             generation,
             mode,
             plan.route,
             shipped,
-            degraded=degraded,
+            degraded=window.degraded,
             started=started,
         )
+
+    def _advance(
+        self,
+        key: tuple,
+        query: FlowQLQuery,
+        plan: QueryPlan,
+        now: float,
+        boundary: object,
+    ) -> Tuple["_Window", int]:
+        """The folds of ``key``'s windows at this boundary, and the bytes
+        moved to get them there.
+
+        Kept folds continue through the cold path's own code; folds that
+        cannot be continued are dropped and the cold path runs once from
+        empty.  Every standing query over the same windows shares the
+        result, so each boundary folds a window once.
+        """
+        window = self._windows.get(key)
+        if window is not None and window.boundary is boundary:
+            return window, 0
+        if window is not None and _broken(window.folds) is None:
+            trees, shipped = self._fold(
+                query, plan, window.folds, now, Degradation()
+            )
+            if _broken(window.folds) is None:
+                window.trees = trees
+                window.boundary = boundary
+                return window, shipped
+        planner = self.planner
+        folds = [planner._new_fold() for _ in planner._windows(query)]
+        degradation = Degradation()
+        trees, shipped = self._fold(query, plan, folds, now, degradation)
+        window = _Window(folds, trees, boundary, degradation.is_degraded)
+        self._windows[key] = window
+        return window, shipped
+
+    def _fold(
+        self,
+        query: FlowQLQuery,
+        plan: QueryPlan,
+        folds: List[WindowFold],
+        now: float,
+        degradation: Degradation,
+    ) -> Tuple[List[Flowtree], int]:
+        """Advance each window's fold exactly as a cold execution of
+        ``query`` folds it; returns the window trees and bytes shipped."""
+        planner = self.planner
+        trees: List[Flowtree] = []
+        shipped = 0
+        for fold, spec in zip(folds, planner._windows(query)):
+            if plan.route == ROUTE_CLOUD:
+                trees.append(
+                    planner.runtime.db.fold_window(
+                        fold, query.sites or None, spec.start, spec.end
+                    )
+                )
+                continue
+            window_plan = QueryPlan(
+                route=plan.route,
+                window=(spec.start, spec.end),
+                level=plan.level,
+                sites=list(plan.sites),
+            )
+            trees.append(
+                planner._assemble(
+                    window_plan, query, spec, now, degradation, fold
+                )
+            )
+            shipped += window_plan.shipped_bytes
+        return trees, shipped
 
     def _publish(
         self,

@@ -18,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.client import FlowQLClient, HTTPSubscription
+from repro.datastore.privacy import PrivacyGuard, PrivacyPolicy
 from repro.errors import FlowQLPlanningError, WireSchemaError
-from repro.faults import FaultPlan, RestartDrill
-from repro.flows.records import Score
+from repro.faults import FaultPlan, LinkOutage, RestartDrill
 from repro.flowql.executor import FlowQLResult
 from repro.flowql.parser import parse
 from repro.runtime.config import LevelConfig
@@ -28,6 +28,7 @@ from repro.query.subscriptions import (
     MODE_DELTA,
     MODE_INIT,
     MODE_REBUILD,
+    REBUILDS_TOTAL,
     SubscriptionUpdate,
 )
 from repro.runtime.presets import network_4level_runtime
@@ -288,6 +289,11 @@ IDENTITY_QUERIES = (
     f"SELECT TOPK(3) FROM ALL AT {ROUTER1} BY bytes",
     "SELECT GROUPBY(dst_port, 8) FROM ALL BY bytes",
     "SELECT TOTAL FROM TIME(120, 240) VS TIME(0, 120)",
+    # federated, two site folds: the general top merge, not the
+    # single-site shortcut
+    f"SELECT TOPK(5) FROM ALL AT {ROUTER1}, {ROUTER2} BY bytes",
+    # federated VS: two kept folds diffed
+    f"SELECT TOTAL FROM TIME(120, 240) VS TIME(0, 120) AT {ROUTER1}",
 )
 
 
@@ -299,7 +305,7 @@ class TestDeltaIdentity:
             # re-execution can't answer right now (window not covered
             # yet, or a reconfig re-keyed the sites): the subscription
             # must be quiet, not serving what re-execution cannot
-            assert subscription.views is None
+            assert subscription.folds is None
             return
         update = subscription.latest()
         assert update is not None
@@ -319,11 +325,11 @@ class TestDeltaIdentity:
         """Identity must survive the per-site fold outgrowing the
         partition node budget (the cold combine starts compressing).
 
-        The maintained fold replays the cold combine's exact operation
-        sequence, so its compressions land at the same points and the
-        grouped answer stays bit-identical — this pins the regression
-        where a flat uncompressed view drifted above the cold answer
-        once compression set in.
+        The kept fold is advanced by the cold read's own code, so its
+        compressions land at the same points and the grouped answer
+        stays bit-identical — this pins the regression where a flat
+        uncompressed view drifted above the cold answer once
+        compression set in.
         """
         text = f"SELECT GROUPBY(dst_port, 8) FROM ALL AT {ROUTER1} BY bytes"
         runtime = build_runtime()
@@ -333,13 +339,13 @@ class TestDeltaIdentity:
             drive(runtime, 1, start=epoch, flows=150)
             self.assert_identical(runtime, subscription, text)
         # the horizon must actually cross the onset, or this pins nothing
-        folds = [
-            fold
-            for view in subscription.views
-            for groups in view.site_trees.values()
-            for fold in groups.values()
+        site_folds = [
+            tree
+            for fold in subscription.folds
+            for groups in fold.sites.values()
+            for tree in groups.values()
         ]
-        assert any(fold.compressions > 0 for fold in folds)
+        assert any(tree.compressions > 0 for tree in site_folds)
         assert subscription.rebuilds == 0
         assert subscription.delta_refreshes == 11
 
@@ -462,6 +468,165 @@ class TestDeltaIdentity:
             assert update.result.to_wire() == reexecuted.to_wire()
             assert 0 < update.shipped_bytes < full
         assert subscription.shipped_bytes_total == seeded + sum(deltas)
+
+
+def guard_router1(runtime):
+    runtime.store_for(ROUTER1).privacy = PrivacyGuard(PrivacyPolicy())
+
+
+def replicate_router1(runtime):
+    store = runtime.store_for(ROUTER1)
+    for partition in store.catalog.all():
+        store.replicate_partition(
+            partition.partition_id, runtime.planner.replica_store, now=70.0
+        )
+
+
+def cut_region1(runtime):
+    runtime.inject_faults(
+        FaultPlan(outages=[LinkOutage("network1/region1", 0, 10**9)])
+    )
+
+
+class TestRebuildAccounting:
+    """A view the cold read cannot continue is re-folded at every close,
+    and each re-fold is a counted, reasoned rebuild — ``init`` marks
+    only the first materialization."""
+
+    @pytest.mark.parametrize(
+        "text, regions, setup, reason",
+        [
+            (
+                f"SELECT TOPK(3) FROM ALL AT {ROUTER1} BY bytes",
+                1, guard_router1, "privacy-guard",
+            ),
+            (
+                f"SELECT TOPK(3) FROM ALL AT {ROUTER1} BY bytes",
+                1, replicate_router1, "replica-served",
+            ),
+            (
+                "SELECT TOTAL FROM ALL AT network1/region1, "
+                "network1/region2",
+                2, cut_region1, "degraded",
+            ),
+        ],
+    )
+    def test_every_later_materialization_is_a_rebuild(
+        self, text, regions, setup, reason
+    ):
+        runtime = build_runtime(routers=1 if regions == 2 else 2,
+                                regions=regions)
+        drive(runtime, 1)
+        setup(runtime)
+        subscription = runtime.subscribe("SUBSCRIBE " + text)
+        for epoch in range(1, 5):
+            drive(runtime, 1, start=epoch)
+            assert subscription.latest().result.to_wire() == (
+                cold(runtime, text).to_wire()
+            )
+        assert [u.mode for u in subscription.updates] == (
+            [MODE_INIT] + [MODE_REBUILD] * 4
+        )
+        assert subscription.rebuilds == 4
+        assert subscription.delta_refreshes == 0
+        census = runtime.planner.subscriptions.census()
+        assert census["rebuilds"] == 4
+        assert census["subscriptions"][subscription.id]["rebuilds"] == 4
+        family = runtime.obs.registry.get(REBUILDS_TOTAL)
+        assert family.labels(reason=reason).value == 4
+
+    def test_link_cut_mid_stream_rebuilds_degraded(self):
+        """A delta whose read fails re-folds cold; with no coverage
+        left the degraded (empty) answer still matches re-execution."""
+        text = f"SELECT TOTAL FROM ALL AT {ROUTER1}"
+        runtime = build_runtime()
+        drive(runtime, 1)
+        subscription = runtime.subscribe("SUBSCRIBE " + text)
+        drive(runtime, 1, start=1)
+        runtime.inject_faults(
+            FaultPlan(outages=[LinkOutage(ROUTER1, 0, 10**9)])
+        )
+        for epoch in (2, 3):
+            drive(runtime, 1, start=epoch)
+            update = subscription.latest()
+            assert update.degraded
+            assert update.result.to_wire() == (
+                cold(runtime, text).to_wire()
+            )
+        assert [u.mode for u in subscription.updates] == [
+            MODE_INIT, MODE_DELTA, MODE_REBUILD, MODE_REBUILD,
+        ]
+        family = runtime.obs.registry.get(REBUILDS_TOTAL)
+        assert family.labels(reason="degraded").value == 2
+
+
+class TestSharedFolds:
+    """Standing queries over the same windows share one set of folds:
+    a boundary folds, and ships, each window once whatever the
+    operators on top."""
+
+    TEXTS = (
+        f"SELECT TOPK(3) FROM ALL AT {ROUTER1} BY bytes",
+        f"SELECT TOTAL FROM ALL AT {ROUTER1}",
+    )
+
+    def subscribe_all(self, runtime):
+        return [runtime.subscribe("SUBSCRIBE " + t) for t in self.TEXTS]
+
+    def assert_identical(self, runtime, subscriptions):
+        for subscription, text in zip(subscriptions, self.TEXTS):
+            assert subscription.latest().result.to_wire() == (
+                cold(runtime, text).to_wire()
+            )
+
+    def test_same_windows_fold_and_ship_once(self):
+        runtime = build_runtime()
+        drive(runtime, 1)
+        first, second = self.subscribe_all(runtime)
+        other = runtime.subscribe(
+            f"SUBSCRIBE SELECT TOTAL FROM ALL AT {ROUTER2}"
+        )
+        assert first.folds is second.folds
+        assert other.folds is not first.folds
+        for epoch in range(1, 4):
+            drive(runtime, 1, start=epoch)
+            self.assert_identical(runtime, [first, second])
+            assert [first.latest().mode, second.latest().mode] == (
+                [MODE_DELTA, MODE_DELTA]
+            )
+            assert first.latest().shipped_bytes > 0
+            assert second.latest().shipped_bytes == 0
+        assert first.folds is second.folds
+
+    def test_a_broken_shared_fold_rebuilds_every_sharer(self):
+        runtime = build_runtime()
+        drive(runtime, 1)
+        subscriptions = self.subscribe_all(runtime)
+        drive(runtime, 1, start=1)
+        guard_router1(runtime)
+        for epoch in (2, 3):
+            drive(runtime, 1, start=epoch)
+            self.assert_identical(runtime, subscriptions)
+        for subscription in subscriptions:
+            assert [u.mode for u in subscription.updates] == [
+                MODE_INIT, MODE_DELTA, MODE_REBUILD, MODE_REBUILD,
+            ]
+        family = runtime.obs.registry.get(REBUILDS_TOTAL)
+        assert family.labels(reason="privacy-guard").value == 4
+
+    def test_a_late_registration_joins_the_kept_fold(self):
+        runtime = build_runtime()
+        drive(runtime, 1)
+        first = runtime.subscribe("SUBSCRIBE " + self.TEXTS[0])
+        drive(runtime, 2, start=1)
+        second = runtime.subscribe("SUBSCRIBE " + self.TEXTS[1])
+        assert second.folds is first.folds
+        assert second.latest().mode == MODE_INIT
+        self.assert_identical(runtime, [first, second])
+        drive(runtime, 1, start=3)
+        self.assert_identical(runtime, [first, second])
+        assert second.latest().mode == MODE_DELTA
+        assert first.rebuilds == second.rebuilds == 0
 
 
 # ---------------------------------------------------------------------------
